@@ -17,6 +17,7 @@ import (
 	"math"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -474,89 +475,48 @@ func BenchmarkFlowMeasurement(b *testing.B) {
 	b.ReportMetric(float64(len(recs)), "pkts/op")
 }
 
-// BenchmarkIntervalSplitter measures the one-pass interval pipeline: both
-// flow definitions assembled simultaneously while the rate series bins in
-// the same sweep — the per-trace inner loop of the experiment suite.
-func BenchmarkIntervalSplitter(b *testing.B) {
+// BenchmarkIntervalEngine measures the block face of the shared interval
+// engine as the flowd daemon runs it: pre-generated blocks (synthesis is
+// not timed, unlike BenchmarkServiceIngest) through one service.Pipeline —
+// flow.IntervalClock cutting and rebasing runs, both flow definitions
+// measured per run, rate binning, and interval closing with the model
+// refit. ns/op is per trace pass; pkts/op records the stream length.
+func BenchmarkIntervalEngine(b *testing.B) {
 	recs, _, err := trace.GenerateAll(benchTraceConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
-	const intervalSec = 10.0
+	blocks := slices.Collect(trace.RecordBlocks(slices.Values(recs)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		binner, err := timeseries.NewBinner(intervalSec, 0.2)
+		p, err := service.NewPipeline(service.PipelineConfig{IntervalSec: 10, Delta: 0.2})
 		if err != nil {
 			b.Fatal(err)
 		}
-		s, err := flow.NewIntervalSplitter(
-			[]flow.Definition{flow.By5Tuple, flow.ByPrefix24},
-			intervalSec, flow.DefaultTimeout,
-			func(iv flow.IntervalSet) error { binner.Reset(); return nil },
-		)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for j := range recs {
-			if err := s.Add(recs[j]); err != nil {
+		for _, blk := range blocks {
+			if err := p.AddBlock(blk); err != nil {
 				b.Fatal(err)
 			}
-			binner.Add(recs[j].Time-s.Origin(), recs[j].Bits())
 		}
-		if err := s.Close(); err != nil {
+		if err := p.Drain(); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(len(recs)), "pkts/op")
 }
 
-// blockify packs a record slice into SoA blocks of the given size.
-func blockify(recs []trace.Record, size int) []*trace.Block {
-	var out []*trace.Block
-	for i := 0; i < len(recs); i += size {
-		end := i + size
-		if end > len(recs) {
-			end = len(recs)
-		}
-		blk := &trace.Block{}
-		for _, rec := range recs[i:end] {
-			blk.AppendRecord(rec)
-		}
-		out = append(out, blk)
-	}
-	return out
-}
-
 // BenchmarkAssemblerBlock isolates the flow-assembly hot path under the
-// suite's two definitions: the record-at-a-time face (one key derivation
-// and table probe per record per definition) against the block face (key
-// and hash columns derived once per block, shared across definitions).
-// ns/op is per trace pass; pkts/op records the stream length.
+// suite's two definitions: key and hash columns derived once per block and
+// shared across definitions, then one table probe per packet per
+// definition. ns/op is per trace pass; pkts/op records the stream length.
 func BenchmarkAssemblerBlock(b *testing.B) {
 	recs, _, err := trace.GenerateAll(benchTraceConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
 	defs := []flow.Definition{flow.By5Tuple, flow.ByPrefix24}
-	b.Run("record", func(b *testing.B) {
-		m, err := flow.NewMeasurer(defs, flow.DefaultTimeout)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.Reset()
-			for j := range recs {
-				if err := m.Add(recs[j]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			m.Flush()
-		}
-		b.ReportMetric(float64(len(recs)), "pkts/op")
-	})
 	b.Run("block", func(b *testing.B) {
-		blocks := blockify(recs, trace.BlockSize)
+		blocks := slices.Collect(trace.RecordBlocks(slices.Values(recs)))
 		m, err := flow.NewMeasurer(defs, flow.DefaultTimeout)
 		if err != nil {
 			b.Fatal(err)
@@ -573,47 +533,6 @@ func BenchmarkAssemblerBlock(b *testing.B) {
 		}
 		b.ReportMetric(float64(len(recs)), "pkts/op")
 	})
-}
-
-// BenchmarkIntervalSplitterBlocks is BenchmarkIntervalSplitter on the batch
-// path: pre-packed blocks through IntervalSplitter.AddBlock and
-// Binner.AddBlock — the per-trace inner loop of the experiment suite as the
-// scheduler actually runs it.
-func BenchmarkIntervalSplitterBlocks(b *testing.B) {
-	recs, _, err := trace.GenerateAll(benchTraceConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	const intervalSec = 10.0
-	blocks := blockify(recs, trace.BlockSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// One binner over the whole trace: the batch binning work is the
-		// same as the per-interval scheduler's, without simulating its
-		// per-interval Reinit here.
-		binner, err := timeseries.NewBinner(30, 0.2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s, err := flow.NewIntervalSplitter(
-			[]flow.Definition{flow.By5Tuple, flow.ByPrefix24},
-			intervalSec, flow.DefaultTimeout,
-			func(iv flow.IntervalSet) error { return nil },
-		)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, blk := range blocks {
-			if err := s.AddBlock(blk); err != nil {
-				b.Fatal(err)
-			}
-			binner.AddBlock(blk)
-		}
-		if err := s.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(recs)), "pkts/op")
 }
 
 // BenchmarkTraceStreaming exercises the generator through the iterator face

@@ -17,6 +17,7 @@ import (
 	"math"
 	"os"
 	"os/signal"
+	"slices"
 	"syscall"
 
 	"repro/internal/core"
@@ -113,20 +114,22 @@ func main() {
 	}
 }
 
-// measure runs the §III splitter incrementally like flow.Measure but checks
-// for cancellation every batch of records.
+// measure runs the §III flow assembly like flow.Measure but checks for
+// cancellation every batch of blocks.
 func measure(ctx context.Context, recs []trace.Record, def flow.Definition, timeout float64) (flow.Result, error) {
 	m, err := flow.NewMeasurer([]flow.Definition{def}, timeout)
 	if err != nil {
 		return flow.Result{}, err
 	}
-	for i := range recs {
-		if i&8191 == 0 {
+	i := 0
+	for blk := range trace.RecordBlocks(slices.Values(recs)) {
+		if i%32 == 0 {
 			if err := ctx.Err(); err != nil {
 				return flow.Result{}, fmt.Errorf("interrupted: %w", err)
 			}
 		}
-		if err := m.Add(recs[i]); err != nil {
+		i++
+		if err := m.AddBlock(blk); err != nil {
 			return flow.Result{}, err
 		}
 	}

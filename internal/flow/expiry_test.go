@@ -170,7 +170,7 @@ func TestAssemblerExpiryInterleavedWithChurn(t *testing.T) {
 		}
 		ref := newRefAssembler(By5Tuple, 5)
 		for _, rec := range recs {
-			if err := a.Add(rec); err != nil {
+			if err := a.add(rec); err != nil {
 				t.Fatal(err)
 			}
 			ref.add(rec)

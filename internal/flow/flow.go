@@ -13,6 +13,7 @@ package flow
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/trace"
@@ -215,25 +216,10 @@ func (a *Assembler) addPacked(t float64, size uint16, h, ka, kb uint64) {
 	}
 }
 
-// Add consumes one packet. Packets must arrive in non-decreasing time order.
-//
-//repro:hotpath
-func (a *Assembler) Add(rec trace.Record) error {
-	if a.started && rec.Time < a.lastTime {
-		return errOutOfOrder(rec.Time, a.lastTime) //repro:alloc-ok error construction on the malformed-input branch only; no allocation on the in-order path
-	}
-	a.started = true
-	a.lastTime = rec.Time
-	src, dst := rec.Hdr.Packed()
-	h, ka, kb := deriveOne(a.def, src, dst)
-	a.addPacked(rec.Time, rec.Hdr.TotalLen, h, ka, kb)
-	return nil
-}
-
 // AddBlock consumes a block of packets with precomputed key columns (hash,
 // keyA, keyB index-aligned with the block; a Measurer derives them once and
 // shares the derivation across its definitions). Packets must arrive in
-// non-decreasing time order across Add/AddBlock calls.
+// non-decreasing time order across AddBlock calls.
 //
 //repro:hotpath
 func (a *Assembler) AddBlock(blk *trace.Block, hash, keyA, keyB []uint64) error {
@@ -311,24 +297,19 @@ func (a *Assembler) Flush() Result {
 	return out
 }
 
-// measureByDef runs recs through the assembler of one definition.
-func measureByDef(recs []trace.Record, def Definition, timeout float64) (Result, error) {
-	a, err := NewAssembler(def, timeout)
-	if err != nil {
-		return Result{}, err
-	}
-	for i := range recs {
-		if err := a.Add(recs[i]); err != nil {
-			return Result{}, err
-		}
-	}
-	return a.Flush(), nil
-}
-
 // Measure groups recs (time-ordered) into flows under the given definition
 // with the given timeout (use DefaultTimeout for the paper's 60 s).
 func Measure(recs []trace.Record, def Definition, timeout float64) (Result, error) {
-	return measureByDef(recs, def, timeout)
+	m, err := NewMeasurer([]Definition{def}, timeout)
+	if err != nil {
+		return Result{}, err
+	}
+	for blk := range trace.RecordBlocks(slices.Values(recs)) {
+		if err := m.AddBlock(blk); err != nil {
+			return Result{}, err
+		}
+	}
+	return m.Flush()[0], nil
 }
 
 // IntervalResult is the measurement of one analysis interval.
@@ -344,26 +325,42 @@ type IntervalResult struct {
 // the intervals they overlap"). Flow Start/End times are relative to the
 // interval start, matching the per-interval analysis of §VI.
 //
-// It is a one-pass wrapper over IntervalSplitter: no window is copied and no
-// record is visited twice. Empty intervals between packets are still emitted
-// so interval indices align with wall-clock position (a dead link is data,
-// not a gap).
+// It is one pass of an IntervalClock feeding a Measurer: no window is
+// copied and no record is visited twice. Empty intervals between packets
+// are still emitted so interval indices align with wall-clock position (a
+// dead link is data, not a gap).
 func MeasureIntervals(recs []trace.Record, def Definition, intervalSec, timeout float64) ([]IntervalResult, error) {
-	var out []IntervalResult
-	s, err := NewIntervalSplitter([]Definition{def}, intervalSec, timeout, func(iv IntervalSet) error {
-		out = append(out, IntervalResult{Index: iv.Index, Start: iv.Start, Result: iv.Results[0]})
-		return nil
-	})
+	clock, err := NewIntervalClock(intervalSec, 0)
 	if err != nil {
 		return nil, err
 	}
-	for i := range recs {
-		if err := s.Add(recs[i]); err != nil {
-			return nil, err
+	m, err := NewMeasurer([]Definition{def}, timeout)
+	if err != nil {
+		return nil, err
+	}
+	var out []IntervalResult
+	closeInterval := func() {
+		out = append(out, IntervalResult{Index: clock.Interval(), Start: clock.Origin(), Result: m.Flush()[0]})
+		m.Reset()
+		clock.Advance()
+	}
+	for blk := range trace.RecordBlocks(slices.Values(recs)) {
+		for j := 0; j < blk.Len(); {
+			run, idx, k, err := clock.Run(blk, j)
+			if err != nil {
+				return nil, err
+			}
+			for clock.Interval() < idx {
+				closeInterval()
+			}
+			if err := m.AddBlock(&run); err != nil {
+				return nil, err
+			}
+			j = k
 		}
 	}
-	if err := s.Close(); err != nil {
-		return nil, err
+	for total := clock.Total(); clock.Interval() < total; {
+		closeInterval()
 	}
 	return out, nil
 }
@@ -371,43 +368,47 @@ func MeasureIntervals(recs []trace.Record, def Definition, intervalSec, timeout 
 // MeasureSpanning measures flows without boundary splitting (one assembler
 // across the whole trace) and assigns each flow to the interval containing
 // its start. This is the ablation counterpart of MeasureIntervals used to
-// quantify the splitting artefact the paper argues is marginal (§III, §VI).
+// quantify the splitting artefact the paper argues is marginal (§III, §VI);
+// it validates recs and counts intervals with the same IntervalClock.
 func MeasureSpanning(recs []trace.Record, def Definition, intervalSec, timeout float64) ([]IntervalResult, error) {
-	if !(intervalSec > 0) {
-		return nil, fmt.Errorf("flow: interval must be > 0, got %g", intervalSec)
-	}
-	whole, err := measureByDef(recs, def, timeout)
+	clock, err := NewIntervalClock(intervalSec, 0)
 	if err != nil {
 		return nil, err
 	}
-	maxIdx := 0
-	if len(recs) > 0 {
-		maxIdx = int(recs[len(recs)-1].Time / intervalSec)
+	m, err := NewMeasurer([]Definition{def}, timeout)
+	if err != nil {
+		return nil, err
 	}
-	out := make([]IntervalResult, maxIdx+1)
+	for blk := range trace.RecordBlocks(slices.Values(recs)) {
+		for j := 0; j < blk.Len(); {
+			idx, k, err := clock.Cut(blk.Times, j)
+			if err != nil {
+				return nil, err
+			}
+			for clock.Interval() < idx {
+				clock.Advance()
+			}
+			j = k
+		}
+		if err := m.AddBlock(blk); err != nil {
+			return nil, err
+		}
+	}
+	whole := m.Flush()[0]
+	out := make([]IntervalResult, clock.Total())
 	for i := range out {
-		out[i] = IntervalResult{Index: i, Start: float64(i) * intervalSec}
-	}
-	assign := func(t float64) int {
-		idx := int(t / intervalSec)
-		if idx < 0 {
-			idx = 0
-		}
-		if idx > maxIdx {
-			idx = maxIdx
-		}
-		return idx
+		out[i] = IntervalResult{Index: i, Start: clock.start(i)}
 	}
 	for _, f := range whole.Flows {
-		idx := assign(f.Start)
-		f.Start -= out[idx].Start
-		f.End -= out[idx].Start
-		out[idx].Flows = append(out[idx].Flows, f)
+		iv := &out[clock.index(f.Start)]
+		f.Start -= iv.Start
+		f.End -= iv.Start
+		iv.Flows = append(iv.Flows, f)
 	}
 	for _, d := range whole.Discarded {
-		idx := assign(d.Time)
-		d.Time -= out[idx].Start
-		out[idx].Discarded = append(out[idx].Discarded, d)
+		iv := &out[clock.index(d.Time)]
+		d.Time -= iv.Start
+		iv.Discarded = append(iv.Discarded, d)
 	}
 	return out, nil
 }

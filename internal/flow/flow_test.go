@@ -198,10 +198,10 @@ func TestOutOfOrderRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Add(rec(5, 1, 1, 1, 100)); err != nil {
+	if err := a.add(rec(5, 1, 1, 1, 100)); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Add(rec(4, 1, 1, 1, 100)); err == nil {
+	if err := a.add(rec(4, 1, 1, 1, 100)); err == nil {
 		t.Fatal("out-of-order packet should be rejected")
 	}
 }
@@ -212,7 +212,7 @@ func TestFlushResetsAndSplits(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range []trace.Record{rec(1, 1, 1, 1, 100), rec(2, 1, 1, 1, 100)} {
-		if err := a.Add(r); err != nil {
+		if err := a.add(r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -223,7 +223,7 @@ func TestFlushResetsAndSplits(t *testing.T) {
 	// The same 5-tuple continues: it must appear again as a new flow
 	// (the paper's boundary splitting).
 	for _, r := range []trace.Record{rec(3, 1, 1, 1, 100), rec(4, 1, 1, 1, 100)} {
-		if err := a.Add(r); err != nil {
+		if err := a.add(r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -245,10 +245,10 @@ func TestEvictionSweepBoundsMemory(t *testing.T) {
 	// handful are active, and the sweep must have evicted old ones.
 	for i := 0; i < 1000; i++ {
 		t0 := float64(i)
-		if err := a.Add(rec(t0, byte(i%250), byte(i/250), uint16(i), 100)); err != nil {
+		if err := a.add(rec(t0, byte(i%250), byte(i/250), uint16(i), 100)); err != nil {
 			t.Fatal(err)
 		}
-		if err := a.Add(rec(t0+0.5, byte(i%250), byte(i/250), uint16(i), 100)); err != nil {
+		if err := a.add(rec(t0+0.5, byte(i%250), byte(i/250), uint16(i), 100)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -329,6 +329,48 @@ func TestMeasureIntervalsValidation(t *testing.T) {
 	}
 	if _, err := Measure(nil, Definition(99), 60); err == nil {
 		t.Fatal("unknown definition should be rejected")
+	}
+}
+
+// MeasureSpanning validates and counts intervals with the same clock as
+// MeasureIntervals: a negative time is an error, not a flow with a negative
+// start in interval 0, and an empty trace has no intervals.
+func TestMeasureSpanningSharesClockRules(t *testing.T) {
+	bad := []trace.Record{rec(-0.5, 1, 1, 1, 100), rec(1, 1, 1, 1, 100)}
+	if _, err := MeasureSpanning(bad, By5Tuple, 60, DefaultTimeout); err == nil {
+		t.Fatal("negative-time packet should be rejected")
+	}
+	if _, err := MeasureIntervals(bad, By5Tuple, 60, DefaultTimeout); err == nil {
+		t.Fatal("negative-time packet should be rejected")
+	}
+	disordered := []trace.Record{rec(5, 1, 1, 1, 100), rec(4, 2, 2, 2, 100)}
+	if _, err := MeasureSpanning(disordered, By5Tuple, 60, DefaultTimeout); err == nil {
+		t.Fatal("out-of-order packet should be rejected")
+	}
+	for _, recs := range [][]trace.Record{nil, {}} {
+		span, err := MeasureSpanning(recs, By5Tuple, 60, DefaultTimeout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		split, err := MeasureIntervals(recs, By5Tuple, 60, DefaultTimeout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(span) != 0 || len(split) != 0 {
+			t.Fatalf("empty trace: %d spanning and %d split intervals, want 0 and 0", len(span), len(split))
+		}
+	}
+	recs := []trace.Record{rec(10, 1, 1, 1, 100), rec(130, 1, 1, 1, 100)}
+	span, err := MeasureSpanning(recs, By5Tuple, 60, DefaultTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	split, err := MeasureIntervals(recs, By5Tuple, 60, DefaultTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(span) != 3 || len(split) != 3 {
+		t.Fatalf("%d spanning and %d split intervals, want 3 and 3", len(span), len(split))
 	}
 }
 

@@ -7,6 +7,21 @@ import (
 	"repro/internal/trace"
 )
 
+// measureStream measures one interval's block stream under defs, always
+// draining it so the producing partitioner is never left blocked.
+func measureStream(is *IntervalStream, defs []Definition) ([]Result, error) {
+	m, firstErr := NewMeasurer(defs, DefaultTimeout)
+	for blk := range is.Blocks() {
+		if firstErr == nil {
+			firstErr = m.AddBlock(blk)
+		}
+	}
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	return m.Flush(), nil
+}
+
 // partitionMeasure runs recs through a partitioner, measuring each
 // interval's stream under def in a goroutine (a stream only closes when the
 // next interval opens, so the handoff must not wait on its own interval),
@@ -17,7 +32,7 @@ func partitionMeasure(t *testing.T, recs []trace.Record, def Definition, interva
 	p, err := NewIntervalPartitioner(intervalSec, duration, 16, func(is *IntervalStream) error {
 		res := make(chan IntervalResult, 1)
 		go func() {
-			results, err := MeasureStream(is.Records(), []Definition{def}, DefaultTimeout)
+			results, err := measureStream(is, []Definition{def})
 			if err != nil {
 				t.Error(err)
 				results = []Result{{}}
@@ -31,7 +46,7 @@ func partitionMeasure(t *testing.T, recs []trace.Record, def Definition, interva
 		t.Fatal(err)
 	}
 	for i := range recs {
-		if err := p.Add(recs[i]); err != nil {
+		if err := p.add(recs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -45,7 +60,7 @@ func partitionMeasure(t *testing.T, recs []trace.Record, def Definition, interva
 	return out
 }
 
-// The partition mode must account intervals exactly like the splitter: same
+// The partitioner must account intervals exactly like MeasureIntervals: same
 // interval count, same flows, same rebased times, for a realistic stream.
 func TestIntervalPartitionerMatchesMeasureIntervals(t *testing.T) {
 	recs := syntheticRecs(t)
@@ -64,7 +79,7 @@ func TestIntervalPartitionerMatchesMeasureIntervals(t *testing.T) {
 				t.Fatalf("%s: interval %d header mismatch", def, i)
 			}
 			if !sameResults(got[i].Result, want[i].Result) {
-				t.Fatalf("%s: interval %d flows differ from splitter path", def, i)
+				t.Fatalf("%s: interval %d flows differ from MeasureIntervals", def, i)
 			}
 		}
 	}
@@ -86,7 +101,7 @@ func TestIntervalPartitionerConcurrentConsumers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := MeasureStream(is.Records(), []Definition{By5Tuple}, DefaultTimeout)
+			res, err := measureStream(is, []Definition{By5Tuple})
 			if err != nil {
 				t.Error(err)
 				return
@@ -99,7 +114,7 @@ func TestIntervalPartitionerConcurrentConsumers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range recs {
-		if err := p.Add(recs[i]); err != nil {
+		if err := p.add(recs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -127,8 +142,8 @@ func TestIntervalPartitionerTrailingQuietIntervals(t *testing.T) {
 		indices = append(indices, is.Index)
 		go func() {
 			n := 0
-			for range is.Records() {
-				n++
+			for blk := range is.Blocks() {
+				n += blk.Len()
 			}
 			counts <- [2]int{is.Index, n}
 		}()
@@ -138,7 +153,7 @@ func TestIntervalPartitionerTrailingQuietIntervals(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range recs {
-		if err := p.Add(recs[i]); err != nil {
+		if err := p.add(recs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -170,7 +185,7 @@ func TestIntervalPartitionerTrailingQuietIntervals(t *testing.T) {
 func TestIntervalPartitionerRejectsNegativeTime(t *testing.T) {
 	p, err := NewIntervalPartitioner(10, 0, 4, func(is *IntervalStream) error {
 		go func() {
-			for range is.Records() {
+			for range is.Blocks() {
 			}
 		}()
 		return nil
@@ -178,7 +193,7 @@ func TestIntervalPartitionerRejectsNegativeTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Add(rec(-1, 1, 1, 1000, 100)); err == nil {
+	if err := p.add(rec(-1, 1, 1, 1000, 100)); err == nil {
 		t.Fatal("negative-time packet should be rejected")
 	}
 	p.Abort()
@@ -191,8 +206,8 @@ func TestIntervalPartitionerAbort(t *testing.T) {
 	p, err := NewIntervalPartitioner(10, 0, 4, func(is *IntervalStream) error {
 		go func() {
 			n := 0
-			for range is.Records() {
-				n++
+			for blk := range is.Blocks() {
+				n += blk.Len()
 			}
 			drained <- n
 		}()
@@ -201,7 +216,7 @@ func TestIntervalPartitionerAbort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Add(rec(1, 1, 1, 1000, 100)); err != nil {
+	if err := p.add(rec(1, 1, 1, 1000, 100)); err != nil {
 		t.Fatal(err)
 	}
 	p.Abort()
@@ -210,58 +225,6 @@ func TestIntervalPartitionerAbort(t *testing.T) {
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal("Close after Abort should be a no-op, got", err)
-	}
-}
-
-// MeasureStream must honour its always-drain contract even when assembler
-// construction fails — otherwise a concurrent producer blocks forever on
-// the undrained stream.
-func TestMeasureStreamDrainsOnBadDefinition(t *testing.T) {
-	consumed := 0
-	seq := func(yield func(trace.Record) bool) {
-		for i := 0; i < 5; i++ {
-			consumed++
-			if !yield(rec(float64(i), 1, 1, 1000, 100)) {
-				return
-			}
-		}
-	}
-	if _, err := MeasureStream(seq, []Definition{Definition(99)}, DefaultTimeout); err == nil {
-		t.Fatal("unknown definition should be rejected")
-	}
-	if consumed != 5 {
-		t.Fatalf("stream drained %d of 5 records on the error path", consumed)
-	}
-}
-
-// An exactly-divisible duration whose float ratio lands a few ulp above the
-// integer (e.g. 7×0.3/0.3 = 8 under Ceil) must not invent a phantom
-// interval: the count drives scheduler bookkeeping sized to the true total.
-func TestIntervalClockFloatRobustTotal(t *testing.T) {
-	for _, tc := range []struct {
-		n   int
-		ivl float64
-	}{
-		{7, 0.3}, {14, 0.3}, {28, 0.3}, {61, 0.3}, {79, 120}, {3, 0.1},
-	} {
-		var count int
-		s, err := NewIntervalSplitter([]Definition{By5Tuple}, tc.ivl, DefaultTimeout,
-			func(IntervalSet) error { count++; return nil })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.SetDuration(float64(tc.n) * tc.ivl); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Add(rec(tc.ivl/2, 1, 1, 1000, 100)); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if count != tc.n {
-			t.Fatalf("duration %d×%g emitted %d intervals, want %d", tc.n, tc.ivl, count, tc.n)
-		}
 	}
 }
 

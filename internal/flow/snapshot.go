@@ -14,7 +14,7 @@ import (
 // survives any future table reorganisation.
 
 // FlowEntry is one in-progress flow in a snapshot: its packed two-word key
-// (the layout deriveOne produces for the assembler's definition) and the
+// (the layout Measurer.derive produces for the assembler's definition) and the
 // accumulated flow quantities.
 type FlowEntry struct {
 	KeyA    uint64

@@ -32,7 +32,7 @@ func TestAssemblerSnapshotDifferential(t *testing.T) {
 		recs := churn(500, 0)
 		split := 240
 		for _, r := range recs[:split] {
-			if err := live.Add(r); err != nil {
+			if err := live.add(r); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -46,10 +46,10 @@ func TestAssemblerSnapshotDifferential(t *testing.T) {
 			t.Fatalf("RestoreState(%v): %v", def, err)
 		}
 		for _, r := range recs[split:] {
-			if err := live.Add(r); err != nil {
+			if err := live.add(r); err != nil {
 				t.Fatal(err)
 			}
-			if err := restored.Add(r); err != nil {
+			if err := restored.add(r); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -69,7 +69,7 @@ func TestAssemblerSnapshotIsStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range churn(300, 0) {
-		if err := a.Add(r); err != nil {
+		if err := a.add(r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -94,7 +94,7 @@ func TestAssemblerSnapshotCarriesUnflushed(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range churn(2000, 0) {
-		if err := a.Add(r); err != nil {
+		if err := a.add(r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -155,7 +155,7 @@ func TestMeasurerSnapshotRoundTrip(t *testing.T) {
 	}
 	recs := churn(400, 0)
 	for _, r := range recs[:200] {
-		if err := live.Add(r); err != nil {
+		if err := live.add(r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -168,10 +168,10 @@ func TestMeasurerSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range recs[200:] {
-		if err := live.Add(r); err != nil {
+		if err := live.add(r); err != nil {
 			t.Fatal(err)
 		}
-		if err := restored.Add(r); err != nil {
+		if err := restored.add(r); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -215,7 +215,7 @@ func TestAssemblerMatchesMapReference(t *testing.T) {
 			}
 			ref := newRefAssembler(def, 20)
 			for i, rec := range recs {
-				if err := a.Add(rec); err != nil {
+				if err := a.add(rec); err != nil {
 					t.Fatal(err)
 				}
 				ref.add(rec)
@@ -252,7 +252,7 @@ func TestMeasurerBlockSizesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rec := range recs {
-		if err := baseM.Add(rec); err != nil {
+		if err := baseM.add(rec); err != nil {
 			t.Fatal(err)
 		}
 	}

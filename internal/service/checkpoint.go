@@ -40,10 +40,11 @@ func (p *Pipeline) Snapshot() []snapshot.Section {
 		meta.I64(int64(d))
 	}
 
+	cs := p.clock.State()
 	var st snapshot.Enc
-	st.I64(int64(p.cur))
-	st.Bool(p.started)
-	st.F64(p.lastTime)
+	st.I64(int64(cs.Cur))
+	st.Bool(cs.Started)
+	st.F64(cs.LastTime)
 	st.I64(p.pktsCur)
 	st.F64(p.detMu)
 	st.F64(p.detSigma)
@@ -249,9 +250,7 @@ func (p *Pipeline) Restore(secs []snapshot.Section) error {
 	if err := p.meas.RestoreStates(states); err != nil {
 		return fail(err)
 	}
-	p.cur = int(cur)
-	p.started = started
-	p.lastTime = lastTime
+	p.clock.RestoreState(flow.ClockState{Cur: int(cur), Started: started, LastTime: lastTime})
 	p.pktsCur = pktsCur
 	p.detMu, p.detSigma = detMu, detSigma
 	p.predNext, p.predHas = predNext, predHas
@@ -263,9 +262,7 @@ func (p *Pipeline) resetAll() {
 	p.meas.Reset()
 	p.bin.Reinit(p.cfg.IntervalSec, p.cfg.Delta)
 	p.means.RestoreValues(nil)
-	p.cur = 0
-	p.started = false
-	p.lastTime = 0
+	p.clock.RestoreState(flow.ClockState{})
 	p.pktsCur = 0
 	p.detMu, p.detSigma = 0, 0
 	p.predNext, p.predHas = 0, false

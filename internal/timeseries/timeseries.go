@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"iter"
 	"math"
+	"slices"
 
 	"repro/internal/flow"
 	"repro/internal/stats"
@@ -32,7 +33,8 @@ type Binner struct {
 	bits     []float64
 }
 
-// NewBinner prepares bins of length delta across [0, duration).
+// NewBinner prepares the ⌊duration/delta⌋ bins of length delta that fit in
+// [0, duration).
 func NewBinner(duration, delta float64) (*Binner, error) {
 	b := &Binner{}
 	if err := b.Reinit(duration, delta); err != nil {
@@ -66,24 +68,37 @@ func (b *Binner) Reinit(duration, delta float64) error {
 	return nil
 }
 
+// binIndex is the one rule placing a time t on n bins of width delta, the
+// convention t ∈ [kΔ, (k+1)Δ): it returns t's bin, or -1 when t falls in
+// none. The bins cover [0, nΔ); a trailing partial bin of a duration that
+// is not a multiple of Δ is not a bin. Binner.Add and Series.Subtract both
+// use it, so a discarded packet is removed from exactly the bin it was
+// added to.
+func binIndex(t, delta float64, n int) int {
+	if !(t >= 0) {
+		return -1
+	}
+	k := int(t / delta)
+	if k >= n {
+		// t/delta can round up to n for a t just below nΔ: that float edge
+		// stays in the last bin. A t at or past nΔ is in none.
+		if t >= float64(n)*delta {
+			return -1
+		}
+		k = n - 1
+	}
+	return k
+}
+
 // Add accounts one packet of the given size at time t (relative to the
-// window origin). Packets outside [0, duration) are ignored; bin boundaries
-// use the convention t ∈ [kΔ, (k+1)Δ).
+// window origin). Packets outside the bins (see binIndex) are ignored.
 //
 //repro:hotpath
 func (b *Binner) Add(t, bits float64) {
-	if t < 0 || t >= b.duration {
-		return
+	if k := binIndex(t, b.delta, len(b.bits)); k >= 0 {
+		b.bits[k] += bits
 	}
-	k := int(t / b.delta)
-	if k >= len(b.bits) { // guard the t == duration-ε float edge
-		k = len(b.bits) - 1
-	}
-	b.bits[k] += bits
 }
-
-// AddRecord accounts one packet record.
-func (b *Binner) AddRecord(rec trace.Record) { b.Add(rec.Time, rec.Bits()) }
 
 // AddBlock accounts every packet of a SoA block in one pass over its time
 // and size columns — the batch face the streaming measurement pipeline
@@ -116,14 +131,7 @@ func (b *Binner) Series() Series {
 // [0, duration). Packets outside the window are ignored. It is the
 // materialised-slice convenience over Binner.
 func Bin(recs []trace.Record, duration, delta float64) (Series, error) {
-	b, err := NewBinner(duration, delta)
-	if err != nil {
-		return Series{}, err
-	}
-	for i := range recs {
-		b.AddRecord(recs[i])
-	}
-	return b.Series(), nil
+	return BinStream(slices.Values(recs), duration, delta)
 }
 
 // BinStream bins a record iterator (e.g. a replayable trace.Window
@@ -133,22 +141,19 @@ func BinStream(recs iter.Seq[trace.Record], duration, delta float64) (Series, er
 	if err != nil {
 		return Series{}, err
 	}
-	for rec := range recs {
-		b.AddRecord(rec)
+	for blk := range trace.RecordBlocks(recs) {
+		b.AddBlock(blk)
 	}
 	return b.Series(), nil
 }
 
 // Subtract removes the given discarded packets (single-packet flows, which
-// the paper excludes from the measured variance) from the series in place.
+// the paper excludes from the measured variance) from the series in place,
+// each from the bin Binner.Add put it in (see binIndex).
 func (s Series) Subtract(pkts []flow.DiscardedPacket) {
-	n := len(s.Rate)
 	for _, p := range pkts {
-		if p.Time < 0 {
-			continue
-		}
-		k := int(p.Time / s.Delta)
-		if k >= n {
+		k := binIndex(p.Time, s.Delta, len(s.Rate))
+		if k < 0 {
 			continue
 		}
 		s.Rate[k] -= p.Bits / s.Delta

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"iter"
 	"sync"
 	"sync/atomic"
 
@@ -74,6 +75,29 @@ func (b *Block) AppendRebased(src *Block, lo, hi int, offset float64) {
 	b.Dsts = append(b.Dsts, src.Dsts[lo:hi]...)
 }
 
+// RecordBlocks packs a record stream into SoA blocks of up to BlockSize
+// packets: the one record→block adapter through which the record-taking
+// edges (flow.Measure, timeseries.Bin, cmd/flowstats) feed the block
+// pipeline. Each yielded block is freshly allocated and owned by the
+// consumer, which may keep it.
+func RecordBlocks(recs iter.Seq[Record]) iter.Seq[*Block] {
+	return func(yield func(*Block) bool) {
+		blk := newBlock()
+		for rec := range recs {
+			blk.AppendRecord(rec)
+			if blk.Len() == BlockSize {
+				if !yield(blk) {
+					return
+				}
+				blk = newBlock()
+			}
+		}
+		if blk.Len() > 0 {
+			yield(blk)
+		}
+	}
+}
+
 // Record reconstructs packet i as a Record (the record-at-a-time view kept
 // for consumers outside the batch path).
 func (b *Block) Record(i int) Record {
@@ -118,6 +142,11 @@ func GetBlock() *Block {
 		b.Reset()
 		return b
 	}
+	return newBlock()
+}
+
+// newBlock allocates an empty block with BlockSize column capacity.
+func newBlock() *Block {
 	return &Block{
 		Times: make([]float64, 0, BlockSize),
 		Sizes: make([]uint16, 0, BlockSize),
